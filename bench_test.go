@@ -99,6 +99,21 @@ func BenchmarkCoreLoop(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
+// BenchmarkSimRunShortCell measures one short (2k-instruction) cell end to
+// end, where building the cache hierarchy, core and predictors is a large
+// share of the work; the allocation counts track that per-cell setup.
+func BenchmarkSimRunShortCell(b *testing.B) {
+	spec := workload.SmallSuite()[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(sim.Options{Workload: spec, Instructions: 2_000,
+			Mech: sim.Mechanism{Constable: true}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkConstableOverhead measures the simulation-speed cost of modelling
 // Constable's structures on top of the baseline.
 func BenchmarkConstableOverhead(b *testing.B) {

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"constable/internal/isa"
 )
@@ -26,18 +27,51 @@ type Config struct {
 // SizeBytes returns the capacity of the configured cache.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * isa.CachelineBytes }
 
+// line is one way of one set. The two words lead and the flags pack into
+// the tail, so a line is 24 bytes.
 type line struct {
 	tag     uint64
+	lastUse uint64
 	valid   bool
 	dirty   bool
-	lastUse uint64
 	reused  bool
+}
+
+// linePools recycles line arrays across caches, one sync.Pool of *[]line
+// per array length (Sets×Ways), so a short simulation does not pay for
+// zeroing and collecting megabytes of fresh cache state. Arrays enter a
+// pool only via (*Cache).release and leave it only via NewCache.
+var (
+	linePoolsMu sync.Mutex
+	linePools   = map[int]*sync.Pool{}
+)
+
+func linePool(n int) *sync.Pool {
+	linePoolsMu.Lock()
+	defer linePoolsMu.Unlock()
+	p := linePools[n]
+	if p == nil {
+		p = new(sync.Pool)
+		linePools[n] = p
+	}
+	return p
+}
+
+// getLines returns a zeroed array of n lines, recycled when one is pooled.
+func getLines(n int) []line {
+	if p, ok := linePool(n).Get().(*[]line); ok {
+		clear(*p)
+		return *p
+	}
+	return make([]line, n)
 }
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
+	cfg Config
+	// lines holds every set back to back: set s is
+	// lines[s*Ways : (s+1)*Ways].
+	lines []line
 	clock uint64
 
 	Hits   uint64
@@ -56,11 +90,18 @@ func NewCache(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		panic(fmt.Sprintf("cache %s: ways %d must be positive", cfg.Name, cfg.Ways))
 	}
-	sets := make([][]line, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+	return &Cache{cfg: cfg, lines: getLines(cfg.Sets * cfg.Ways)}
+}
+
+// release returns c's line array to the recycling pool. c must not be used
+// afterwards; a second release is a no-op, so no array is pooled twice.
+func (c *Cache) release() {
+	if c.lines == nil {
+		return
 	}
-	return &Cache{cfg: cfg, sets: sets}
+	lines := c.lines
+	c.lines = nil
+	linePool(len(lines)).Put(&lines)
 }
 
 // Config returns the cache's configuration.
@@ -69,12 +110,18 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineAddr converts a byte address to a cacheline address.
 func LineAddr(addr uint64) uint64 { return addr / isa.CachelineBytes }
 
-func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr) & (c.cfg.Sets - 1) }
+// set returns the ways of lineAddr's set.
+func (c *Cache) set(lineAddr uint64) []line {
+	w := c.cfg.Ways
+	base := (int(lineAddr) & (c.cfg.Sets - 1)) * w
+	return c.lines[base : base+w : base+w]
+}
 
 // Lookup probes the cache without changing replacement state.
 func (c *Cache) Lookup(lineAddr uint64) bool {
-	for i := range c.sets[c.setOf(lineAddr)] {
-		l := &c.sets[c.setOf(lineAddr)][i]
+	set := c.set(lineAddr)
+	for i := range set {
+		l := &set[i]
 		if l.valid && l.tag == lineAddr {
 			return true
 		}
@@ -86,7 +133,7 @@ func (c *Cache) Lookup(lineAddr uint64) bool {
 // write marks the line dirty on a store.
 func (c *Cache) Access(lineAddr uint64, write bool) bool {
 	c.clock++
-	set := c.sets[c.setOf(lineAddr)]
+	set := c.set(lineAddr)
 	for i := range set {
 		l := &set[i]
 		if l.valid && l.tag == lineAddr {
@@ -112,7 +159,7 @@ func (c *Cache) Fill(lineAddr uint64) {
 }
 
 func (c *Cache) fill(lineAddr uint64, write bool) {
-	set := c.sets[c.setOf(lineAddr)]
+	set := c.set(lineAddr)
 	victim := 0
 	// Prefer invalid ways, then (for dead-block-aware) never-reused lines,
 	// then LRU.
@@ -148,7 +195,7 @@ func (c *Cache) fill(lineAddr uint64, write bool) {
 // Invalidate drops lineAddr if present (snoop handling). Reports whether the
 // line was present.
 func (c *Cache) Invalidate(lineAddr uint64) bool {
-	set := c.sets[c.setOf(lineAddr)]
+	set := c.set(lineAddr)
 	for i := range set {
 		l := &set[i]
 		if l.valid && l.tag == lineAddr {

@@ -17,6 +17,8 @@ type DeltaPrefetcher struct {
 	maxConf   int
 	deltas    int
 	Issued    uint64
+	// out backs Observe's result, reused on every call.
+	out []uint64
 }
 
 type deltaEntry struct {
@@ -42,6 +44,7 @@ func NewDeltaPrefetcher(cfg PrefetchConfig) *DeltaPrefetcher {
 		threshold: cfg.Threshold,
 		maxConf:   cfg.MaxConf,
 		deltas:    cfg.Deltas,
+		out:       make([]uint64, 0, cfg.Degree),
 	}
 }
 
@@ -49,7 +52,7 @@ func NewDeltaPrefetcher(cfg PrefetchConfig) *DeltaPrefetcher {
 func (p *DeltaPrefetcher) IssuedCount() uint64 { return p.Issued }
 
 // Observe trains on a demand load and returns the line addresses to
-// prefetch (possibly none).
+// prefetch (possibly none), valid until the next call.
 func (p *DeltaPrefetcher) Observe(pc, addr uint64) []uint64 {
 	e := &p.table[(pc>>2)&p.mask]
 	if !e.valid || e.pc != pc {
@@ -111,7 +114,7 @@ func (p *DeltaPrefetcher) Observe(pc, addr uint64) []uint64 {
 	// Replay the recorded pattern from the match point; once the walk wraps
 	// onto the just-recorded delta, keep extrapolating with the predicted
 	// delta.
-	out := make([]uint64, 0, p.degree)
+	out := p.out[:0]
 	next := int64(addr)
 	idx := match
 	for i := 0; i < p.degree; i++ {

@@ -59,6 +59,10 @@ type Hierarchy struct {
 	Directory *Directory
 	CoreID    int
 
+	// owned lists the caches NewHierarchy created, whose line arrays
+	// Release recycles. SetSharedLLC never adds the shared LLC here.
+	owned [3]*Cache
+
 	// Counters.
 	L1DLoadAccesses  uint64
 	L1DStoreAccesses uint64
@@ -71,13 +75,26 @@ type Hierarchy struct {
 // NewHierarchy builds a hierarchy from cfg. Each call creates private
 // caches; use SetSharedLLC to share an LLC between cores.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	return &Hierarchy{
+	h := &Hierarchy{
 		L1D:      NewCache(cfg.L1D),
 		L2:       NewCache(cfg.L2),
 		LLC:      NewCache(cfg.LLC),
 		DRAM:     NewDRAM(cfg.DRAM),
 		l1pf:     NewStridePrefetcher(cfg.StrideEntries, cfg.StrideDegree),
 		streamL2: NewStreamer(cfg.StreamTrackers, cfg.StreamDegree),
+	}
+	h.owned = [3]*Cache{h.L1D, h.L2, h.LLC}
+	return h
+}
+
+// Release recycles the line arrays of the caches this hierarchy created, so
+// the next NewCache of the same geometry reuses them instead of allocating.
+// An LLC installed with SetSharedLLC belongs to its creator and is never
+// released here. The hierarchy must not be used after Release; a second
+// Release is a no-op.
+func (h *Hierarchy) Release() {
+	for _, c := range h.owned {
+		c.release()
 	}
 }
 
@@ -96,7 +113,7 @@ func (h *Hierarchy) SetL1DPredictor(p *L1DPredictor) { h.l1dPred = p }
 func (h *Hierarchy) L1DPredictor() *L1DPredictor { return h.l1dPred }
 
 // SetSharedLLC replaces this hierarchy's LLC and DRAM with shared instances
-// (multi-core configuration).
+// (multi-core configuration). Release never recycles the shared LLC.
 func (h *Hierarchy) SetSharedLLC(llc *Cache, dram *DRAM) {
 	h.LLC = llc
 	h.DRAM = dram

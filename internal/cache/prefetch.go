@@ -52,8 +52,11 @@ func (c PrefetchConfig) Validate() error {
 }
 
 // L1Prefetcher is the pluggable L1-D prefetcher interface: Observe trains on
-// a demand load and returns line addresses to prefetch-fill. The hierarchy
-// owns one (stride by default); the mechanism registry swaps variants in.
+// a demand load and returns line addresses to prefetch-fill. The returned
+// slice may alias the prefetcher's scratch buffer: it is valid only until
+// the next Observe call, so callers consume it before observing again. The
+// hierarchy owns one (stride by default); the mechanism registry swaps
+// variants in.
 type L1Prefetcher interface {
 	Observe(pc, addr uint64) []uint64
 	// IssuedCount returns the running count of issued prefetches, for the
@@ -89,6 +92,8 @@ type StridePrefetcher struct {
 	threshold int
 	maxConf   int
 	Issued    uint64
+	// out backs Observe's result, reused on every call.
+	out []uint64
 }
 
 type strideEntry struct {
@@ -119,6 +124,7 @@ func NewStridePrefetcherWith(cfg PrefetchConfig) *StridePrefetcher {
 		degree:    cfg.Degree,
 		threshold: cfg.Threshold,
 		maxConf:   cfg.MaxConf,
+		out:       make([]uint64, 0, cfg.Degree),
 	}
 }
 
@@ -126,7 +132,7 @@ func NewStridePrefetcherWith(cfg PrefetchConfig) *StridePrefetcher {
 func (p *StridePrefetcher) IssuedCount() uint64 { return p.Issued }
 
 // Observe trains on a demand load and returns the line addresses to
-// prefetch (possibly none).
+// prefetch (possibly none), valid until the next call.
 func (p *StridePrefetcher) Observe(pc, addr uint64) []uint64 {
 	e := &p.table[(pc>>2)&p.mask]
 	if !e.valid || e.pc != pc {
@@ -146,7 +152,7 @@ func (p *StridePrefetcher) Observe(pc, addr uint64) []uint64 {
 	if e.conf < p.threshold {
 		return nil
 	}
-	out := make([]uint64, 0, p.degree)
+	out := p.out[:0]
 	next := int64(addr)
 	for i := 0; i < p.degree; i++ {
 		next += e.stride
@@ -167,6 +173,8 @@ type Streamer struct {
 	mask    uint64
 	degree  int
 	Issued  uint64
+	// out backs Observe's result, reused on every call.
+	out []uint64
 }
 
 type streamRegion struct {
@@ -180,10 +188,12 @@ type streamRegion struct {
 // up to a power of two) and prefetch degree.
 func NewStreamer(trackers, degree int) *Streamer {
 	n := nextPow2(trackers)
-	return &Streamer{regions: make([]streamRegion, n), mask: uint64(n - 1), degree: degree}
+	return &Streamer{regions: make([]streamRegion, n), mask: uint64(n - 1), degree: degree,
+		out: make([]uint64, 0, degree)}
 }
 
-// Observe trains on an L2 access and returns line addresses to prefetch.
+// Observe trains on an L2 access and returns line addresses to prefetch,
+// valid until the next call.
 func (s *Streamer) Observe(lineAddr uint64) []uint64 {
 	region := lineAddr / (4096 / 64)
 	e := &s.regions[region&s.mask]
@@ -202,7 +212,7 @@ func (s *Streamer) Observe(lineAddr uint64) []uint64 {
 	if e.hits < 2 {
 		return nil
 	}
-	out := make([]uint64, 0, s.degree)
+	out := s.out[:0]
 	for i := 1; i <= s.degree; i++ {
 		out = append(out, lineAddr+uint64(i))
 		s.Issued++

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"constable/internal/sim"
@@ -152,8 +154,9 @@ func (l *LocalBackend) Capacity() int { return l.capacity }
 // Execute implements Backend by resolving the spec and simulating it on the
 // calling goroutine. Local execution failures are always the job's own
 // (never ErrBackendUnavailable): the process that would retry the job is
-// the same one that just failed it.
-func (l *LocalBackend) Execute(ctx context.Context, spec JobSpec, hash string) (*sim.RunResult, error) {
+// the same one that just failed it. A panic in the simulator becomes the
+// cell's error, stack included, so one bad spec cannot kill the process.
+func (l *LocalBackend) Execute(ctx context.Context, spec JobSpec, hash string) (res *sim.RunResult, err error) {
 	resolve := l.resolve
 	if resolve == nil {
 		resolve = workload.ByName
@@ -162,6 +165,11 @@ func (l *LocalBackend) Execute(ctx context.Context, spec JobSpec, hash string) (
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("service: simulation panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
 	return l.run(opts)
 }
 

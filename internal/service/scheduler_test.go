@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"constable/internal/pipeline"
 	"constable/internal/sim"
 )
 
@@ -295,5 +297,34 @@ func TestSchedulerRealSimulation(t *testing.T) {
 	if got.Cycles != want.Cycles || got.IPC != want.IPC {
 		t.Errorf("scheduler result (cycles %d, IPC %.4f) differs from direct sim.Run (cycles %d, IPC %.4f)",
 			got.Cycles, got.IPC, want.Cycles, want.IPC)
+	}
+}
+
+// TestSimulatorPanicFailsOnlyItsJob submits a spec whose core has a negative
+// port count, which panics inside pipeline.NewCore: the job must fail with
+// the panic and its stack, and the scheduler must keep serving.
+func TestSimulatorPanicFailsOnlyItsJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(func() { s.Close() })
+	name := testWorkload(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	core := pipeline.DefaultConfig()
+	core.NumALUPorts = -1
+	_, err := s.RunSync(ctx, JobSpec{Workload: name, Mechanism: "constable", Instructions: 2000, Core: &core})
+	if err == nil {
+		t.Fatal("a spec that panics the simulator succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "panicked") || !strings.Contains(msg, "pipeline.NewCore") {
+		t.Errorf("error lacks the panic and its stack: %v", err)
+	}
+
+	good, err := s.RunSync(ctx, JobSpec{Workload: name, Mechanism: "constable", Instructions: 2000})
+	if err != nil {
+		t.Fatalf("scheduler stopped serving after a panicking job: %v", err)
+	}
+	if good.Pipeline.Retired != 2000 {
+		t.Errorf("retired %d, want 2000", good.Pipeline.Retired)
 	}
 }

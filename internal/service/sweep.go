@@ -61,14 +61,14 @@ type SweepView struct {
 	ID     string      `json:"id"`
 	Status SweepStatus `json:"status"`
 	// Class is the scheduling class the sweep's cells queue under.
-	Class     string      `json:"class,omitempty"`
-	Rows      int         `json:"rows"`
-	Total     int         `json:"total_cells"`
-	Completed int         `json:"completed_cells"`
-	CacheHits int         `json:"cache_hits"`
-	Failed    int         `json:"failed_cells"`
-	Canceled  int         `json:"canceled_cells"`
-	Error     string      `json:"error,omitempty"`
+	Class     string `json:"class,omitempty"`
+	Rows      int    `json:"rows"`
+	Total     int    `json:"total_cells"`
+	Completed int    `json:"completed_cells"`
+	CacheHits int    `json:"cache_hits"`
+	Failed    int    `json:"failed_cells"`
+	Canceled  int    `json:"canceled_cells"`
+	Error     string `json:"error,omitempty"`
 }
 
 // Sweep tracks one matrix of jobs through the scheduler with sweep-level

@@ -290,7 +290,11 @@ func Run(opts Options) (*RunResult, error) {
 		streams[i] = st
 	}
 
+	// The result copies every counter it needs out of the hierarchy, so its
+	// cache arrays are recycled for the next run once Run returns (or
+	// panics).
 	hier := cache.NewHierarchy(cache.DefaultHierarchyConfig())
+	defer hier.Release()
 	core := pipeline.NewCore(cfg, att, hier, streams...)
 
 	// Generous cycle bound: IPC below 0.05 would indicate a deadlock.
